@@ -491,20 +491,30 @@ func (p *Plan) Execute(env *Env, args []any) Outcome {
 // execute is Execute past the sampling decision: the untraced routine. The
 // batch entry points call it per frame after drawing one decision for the
 // whole batch.
+//
+// A metered raise adds its charges up in a tab and pays them with one
+// meter update immediately before any code outside the plan can run or
+// read the clock: a handler, filter, out-of-line guard, result handler,
+// spawn or submit, ephemeral supervision, the default handler, OnFire,
+// and the return to the raiser. Every clock reading, per-account total and
+// fault-hook cost is the same as if each operation were charged as it ran
+// (DESIGN.md decision 20); the traced twin still charges per operation.
 func (p *Plan) execute(env *Env, args []any) Outcome {
 	cpu := env.CPU
 	if p.flatExec != nil && cpu == nil {
 		// Unmetered raise on a specialized plan: straight-line executor.
-		// Metered raises stay on the interpreter below so the virtual-time
-		// charge sequence is byte-identical with specialization on or off.
-		// (The dispatcher normally calls the executor directly via FastExec
-		// with its own hoisted stripe index; this route serves direct
-		// codegen users and the unsampled raises of traced plans.)
+		// Metered raises stay on the interpreter below, which carries the
+		// virtual-time tab. (The dispatcher normally calls the executor
+		// directly via FastExec with its own hoisted stripe index; this
+		// route serves direct codegen users and the unsampled raises of
+		// traced plans.)
 		return p.flatExec(p, env, args, stripe.Index())
 	}
+	t := tab{cpu: cpu, model: cpu.Model()}
 	if p.direct != nil {
-		cpu.Charge(vtime.CallDirect)
-		cpu.ChargeN(vtime.CallDirectArg, p.info.Arity)
+		t.charge(vtime.CallDirect)
+		t.chargeN(vtime.CallDirectArg, p.info.Arity)
+		t.settle()
 		b := p.direct
 		var res any
 		if p.protect != nil {
@@ -519,16 +529,16 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 	}
 
 	if p.allInline {
-		cpu.Charge(vtime.InlineEntry)
-		cpu.ChargeN(vtime.ArgCopy, p.info.Arity)
+		t.charge(vtime.InlineEntry)
+		t.chargeN(vtime.ArgCopy, p.info.Arity)
 	} else {
-		cpu.Charge(vtime.DispatchEntry)
-		cpu.ChargeN(vtime.DispatchEntryArg, p.info.Arity)
+		t.charge(vtime.DispatchEntry)
+		t.chargeN(vtime.DispatchEntryArg, p.info.Arity)
 	}
 	if p.hasFilter {
 		// Snapshot cost for preserving the raiser's view of arguments
 		// ahead of the first filter (§2.4 Typechecking).
-		cpu.ChargeN(vtime.ArgCopy, p.info.Arity)
+		t.chargeN(vtime.ArgCopy, p.info.Arity)
 	}
 
 	var out Outcome
@@ -540,11 +550,14 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 	// invocation, pay for one.
 	execStep := func(st *step) {
 		b := st.b
+		call, perArg := st.handlerCost()
+		t.charge(call)
+		t.chargeN(perArg, p.info.Arity)
+		t.settle()
 		if b.Filter {
 			// Filters transform arguments for downstream handlers;
 			// they neither produce results nor count as the event
 			// having been handled (§2.3 "Passing arguments").
-			p.chargeHandler(cpu, st)
 			if p.protect != nil {
 				_, _ = p.callProtected(cpu, st, args)
 			} else {
@@ -556,7 +569,6 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 			return
 		}
 		if b.Async {
-			p.chargeHandler(cpu, st)
 			inv := p.invoker(st, args)
 			if p.admitQ != nil && env.SubmitHandler != nil {
 				// Admission compiled in: the invocation passes through
@@ -576,15 +588,11 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 		var res any
 		completed := true
 		if b.Ephemeral {
-			p.chargeHandler(cpu, st)
 			res, completed = env.RunEphemeral(b.Tag, p.invoker(st, args))
+		} else if p.protect != nil {
+			res, completed = p.callProtected(cpu, st, args)
 		} else {
-			p.chargeHandler(cpu, st)
-			if p.protect != nil {
-				res, completed = p.callProtected(cpu, st, args)
-			} else {
-				res = st.call(args)
-			}
+			res = st.call(args)
 		}
 		out.Fired++
 		if env.OnFire != nil {
@@ -594,7 +602,8 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 			return
 		}
 		if p.resultFn != nil {
-			cpu.Charge(vtime.ResultMerge)
+			t.charge(vtime.ResultMerge)
+			t.settle()
 			out.Result = p.resultFn(out.Result, res, out.Fired-1)
 		} else {
 			if haveResult {
@@ -608,7 +617,7 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 	for i := range p.units {
 		u := &p.units[i]
 		if u.single != nil {
-			if !p.evalGuards(cpu, u.single, args) {
+			if !p.evalGuards(&t, u.single, args) {
 				continue
 			}
 			execStep(u.single)
@@ -617,7 +626,7 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 		// Decision tree: one inline comparison-equivalent lookup
 		// replaces the whole run's guard evaluations (§3.2 future
 		// work; see tree.go).
-		cpu.Charge(vtime.GuardInline)
+		t.charge(vtime.GuardInline)
 		w, ok := argWord(args, u.treeArg)
 		if !ok {
 			continue
@@ -630,7 +639,8 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 
 	if out.Fired == 0 && p.defaultB != nil {
 		b := p.defaultB
-		cpu.Charge(vtime.HandlerIndirect)
+		t.charge(vtime.HandlerIndirect)
+		t.settle()
 		var res any
 		if p.protect != nil {
 			res, _ = p.runBindingProtected(cpu, b, args)
@@ -643,28 +653,71 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 		out.Result = res
 		out.UsedDefault = true
 	}
+	t.settle()
 	return out
 }
 
+// tab is a metered raise's running virtual-time total: charges made
+// between two clock observations, not yet paid to the meter. With a nil
+// CPU it stays zero and every method is a nil check.
+type tab struct {
+	cpu   *vtime.CPU
+	model *vtime.Model
+	owed  vtime.Duration
+}
+
+// charge adds the cost of one operation of kind k.
+func (t *tab) charge(k vtime.Kind) { t.chargeN(k, 1) }
+
+// chargeN adds the cost of n operations of kind k. Like CPU.ChargeN it
+// skips non-positive totals, so paying the sum moves the clock exactly as
+// charging each operation would have.
+func (t *tab) chargeN(k vtime.Kind, n int) {
+	if t.cpu == nil || n <= 0 {
+		return
+	}
+	if d := t.model.Cost(k) * vtime.Duration(n); d > 0 {
+		t.owed += d
+	}
+}
+
+// settle pays the running total with one meter update. It runs before
+// any code outside the plan can observe the clock.
+func (t *tab) settle() {
+	if t.owed > 0 {
+		t.cpu.Spend(t.owed)
+		t.owed = 0
+	}
+}
+
 // evalGuards evaluates one step's guard list, charging per the generated
-// configuration.
-func (p *Plan) evalGuards(cpu *vtime.CPU, st *step, args []any) bool {
+// configuration. Predicate guards are pure comparisons that cannot observe
+// the clock, so they are counted from the loop index and charged when the
+// step exits or an out-of-line guard is about to run; an unmetered raise
+// pays nothing per guard.
+func (p *Plan) evalGuards(t *tab, st *step, args []any) bool {
+	// With inlining disabled the generator emitted an out-of-line call to
+	// each predicate: same evaluation, indirect-call price.
+	predCost := vtime.GuardInline
+	if p.opts.DisableInline {
+		predCost = vtime.GuardIndirect
+	}
+	counted := 0 // guards before this index are already charged
 	for i := range st.guards {
 		g := &st.guards[i]
-		if g.Pred != nil && !p.opts.DisableInline {
-			cpu.Charge(vtime.GuardInline)
+		if g.Pred != nil {
 			if !g.Pred.Eval(args) {
+				t.chargeN(predCost, i+1-counted)
 				return false
 			}
 			continue
 		}
-		cpu.Charge(vtime.GuardIndirect)
+		t.chargeN(predCost, i-counted)
+		t.charge(vtime.GuardIndirect)
+		t.settle()
+		counted = i + 1
 		var pass bool
-		if g.Pred != nil {
-			// Inlining disabled: the generator emitted an
-			// out-of-line call to the predicate.
-			pass = g.Pred.Eval(args)
-		} else if p.protect != nil {
+		if p.protect != nil {
 			pass = p.guardProtected(g, st.b.Tag, args)
 		} else {
 			pass = g.Fn(g.Closure, args)
@@ -673,18 +726,25 @@ func (p *Plan) evalGuards(cpu *vtime.CPU, st *step, args []any) bool {
 			return false
 		}
 	}
+	t.chargeN(predCost, len(st.guards)-counted)
 	return true
 }
 
-// chargeHandler charges the handler-invocation cost for one step.
-func (p *Plan) chargeHandler(cpu *vtime.CPU, st *step) {
+// handlerCost names the handler-invocation charges for one step: the call
+// and the per-argument binding cost.
+func (st *step) handlerCost() (call, perArg vtime.Kind) {
 	if st.inline {
-		cpu.Charge(vtime.HandlerInline)
-		cpu.ChargeN(vtime.BindingInlineArg, p.info.Arity)
-	} else {
-		cpu.Charge(vtime.HandlerIndirect)
-		cpu.ChargeN(vtime.BindingIndirectArg, p.info.Arity)
+		return vtime.HandlerInline, vtime.BindingInlineArg
 	}
+	return vtime.HandlerIndirect, vtime.BindingIndirectArg
+}
+
+// chargeHandler charges the handler-invocation cost for one step straight
+// to the meter (the traced twin, which stamps the clock around it).
+func (p *Plan) chargeHandler(cpu *vtime.CPU, st *step) {
+	call, perArg := st.handlerCost()
+	cpu.Charge(call)
+	cpu.ChargeN(perArg, p.info.Arity)
 }
 
 // call invokes the step's handler synchronously — the "direct procedure

@@ -42,6 +42,14 @@ func (a Account) String() string {
 // is valid everywhere a meter is accepted and charges nothing, so code paths
 // shared between metered simulation and native benchmarking pay only a nil
 // check when unmetered.
+//
+// Only the sum of the charges between two clock observations is visible:
+// the clock reading, the per-account totals, and any cost measured as a
+// difference of readings. A caller may therefore add up the charges it
+// makes between two observations and pay the total with one Spend, as
+// long as no code that could read the clock or switch the active account
+// runs before the total is paid. The dispatch interpreter does this for
+// each metered raise (DESIGN.md decision 20).
 type CPU struct {
 	clock *Clock
 	model *Model
@@ -118,9 +126,7 @@ func (c *CPU) ChargeTo(a Account, k Kind) {
 	if c == nil {
 		return
 	}
-	c.Begin(a)
-	c.Charge(k)
-	c.End()
+	c.spendTo(a, c.model.Cost(k))
 }
 
 // ChargeNTo charges n operations of kind k to account a.
@@ -128,19 +134,15 @@ func (c *CPU) ChargeNTo(a Account, k Kind, n int) {
 	if c == nil || n <= 0 {
 		return
 	}
-	c.Begin(a)
-	c.ChargeN(k, n)
-	c.End()
+	c.spendTo(a, c.model.Cost(k)*Duration(n))
 }
 
 // SpendTo charges an explicit duration to account a.
 func (c *CPU) SpendTo(a Account, d Duration) {
-	if c == nil || d <= 0 {
+	if c == nil {
 		return
 	}
-	c.Begin(a)
-	c.Spend(d)
-	c.End()
+	c.spendTo(a, d)
 }
 
 // Spend charges an explicit duration, used for costs that are data
@@ -159,6 +161,20 @@ func (c *CPU) spend(d Duration) {
 	}
 	c.mu.Lock()
 	c.totals[c.current] += d
+	c.mu.Unlock()
+	if c.clock != nil {
+		c.clock.Advance(d)
+	}
+}
+
+// spendTo is spend attributed to account a instead of the active account:
+// one lock round trip, with no push onto the Begin/End stack.
+func (c *CPU) spendTo(a Account, d Duration) {
+	if d <= 0 {
+		return
+	}
+	c.mu.Lock()
+	c.totals[a] += d
 	c.mu.Unlock()
 	if c.clock != nil {
 		c.clock.Advance(d)
