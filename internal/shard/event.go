@@ -42,19 +42,23 @@ type Event struct {
 	// move can re-point every handle at its reinstalled twin. Guarded by
 	// ctlMu.
 	binds map[*dispatch.Binding]*Binding
-	// base accumulates dispatch statistics from previous shard
-	// residencies; Stats() adds the current shard's on top. Guarded by
-	// ctlMu.
-	base dispatch.Stats
+	// retired holds the event's residencies on shards it has left. Raises
+	// that resolved an old route may still be counting there, so Stats()
+	// reads their live counters rather than a snapshot taken at move
+	// time. Guarded by ctlMu.
+	retired []*dispatch.Event
 }
 
 // Binding is the routed front handle for one installation. It follows its
 // event across shard moves: the underlying dispatch.Binding is republished
 // atomically when a move reinstalls it on the destination.
 type Binding struct {
-	ev        *Event
-	cur       atomic.Pointer[dispatch.Binding]
-	baseFired int64 // firings on previous shards; guarded by ev.ctlMu
+	ev  *Event
+	cur atomic.Pointer[dispatch.Binding]
+	// retired holds the binding's installations on shards its event has
+	// left, read live by Fired for the same reason as Event.retired.
+	// Guarded by ev.ctlMu.
+	retired []*dispatch.Binding
 }
 
 // Raw returns the current underlying binding. It is only stable while no
@@ -75,7 +79,11 @@ func (b *Binding) Quarantined() bool { return b.cur.Load().Quarantined() }
 func (b *Binding) Fired() int64 {
 	b.ev.ctlMu.Lock()
 	defer b.ev.ctlMu.Unlock()
-	return b.baseFired + b.cur.Load().Fired()
+	n := b.cur.Load().Fired()
+	for _, old := range b.retired {
+		n += old.Fired()
+	}
+	return n
 }
 
 func (e *Event) loadRoute() *route { return e.route.Load() }
@@ -279,15 +287,19 @@ func (e *Event) InstallAuthorizer(fn dispatch.AuthorizerFn, proof *rtti.Module) 
 }
 
 // Stats reports the event's dispatch statistics accumulated across every
-// shard residency: counters from shards the event has departed are folded
-// into a base the current shard's live counters add to.
+// shard residency: the live counters of the residencies the event has
+// departed add to the current shard's. Handler and guard counts are the
+// current residency's.
 func (e *Event) Stats() dispatch.Stats {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
 	st := e.loadRoute().ctl.Stats()
-	st.Raised += e.base.Raised
-	st.Fired += e.base.Fired
-	st.Time += e.base.Time
+	for _, old := range e.retired {
+		o := old.Stats()
+		st.Raised += o.Raised
+		st.Fired += o.Fired
+		st.Time += o.Time
+	}
 	return st
 }
 

@@ -163,15 +163,11 @@ func moveEvent(e *Event, from, to *Shard) error {
 	// admitted.
 	dst.MigrateControls(src)
 
-	// Fold the source residency's counters into the handle's base, swap
-	// the route, and retire the source. Raises that resolved the old
-	// route drain on the source's still-published plan (their counts land
-	// in the striped counters already folded — quiesce before comparing
-	// ledgers, as the differential tests do).
-	st := src.Stats()
-	e.base.Raised += st.Raised
-	e.base.Fired += st.Fired
-	e.base.Time += st.Time
+	// Keep the source residency reachable, swap the route, and retire the
+	// source. Raises that resolved the old route drain on the source's
+	// still-published plan and count in its striped counters, which
+	// Stats and Fired keep reading after the move.
+	e.retired = append(e.retired, src)
 	e.storeRoute(to, dst)
 	return fromD.RemoveEvent(src.Name())
 }
@@ -185,7 +181,7 @@ func (e *Event) remapLocked(ob, nb *dispatch.Binding, fromD, toD *dispatch.Dispa
 		return
 	}
 	delete(e.binds, ob)
-	wb.baseFired += ob.Fired()
+	wb.retired = append(wb.retired, ob)
 	wb.cur.Store(nb)
 	e.binds[nb] = wb
 }
