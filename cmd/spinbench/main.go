@@ -4,6 +4,7 @@
 //
 //	spinbench -table 1        Table 1: dispatch latency grid
 //	spinbench -table 2        Table 2: UDP roundtrip vs. guards
+//	spinbench -table tree     Table 2 under the guard decision tree
 //	spinbench -table install  §3.1 installation overhead
 //	spinbench -table async    §3.1 asynchronous event overhead
 //	spinbench -table micro    §3.1 syscall/thread event overhead
@@ -17,6 +18,8 @@
 //	spinbench -table all      everything
 //	spinbench -disasm         dispatch plan disassembly tour
 //
+// An unknown -table value prints the usage and exits 2.
+//
 // All simulated figures are in the paper's units (microseconds on a DEC
 // Alpha AXP 3000/400); the paper's own numbers print alongside.
 package main
@@ -27,6 +30,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,11 +47,20 @@ import (
 	"spin/internal/vtime"
 )
 
+// tables lists every accepted -table value.
+var tables = []string{"1", "2", "tree", "install", "async", "micro", "faults",
+	"overload", "inline", "batch", "journal", "remote", "shard", "all"}
+
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: 1, 2, tree, install, async, micro, faults, overload, inline, batch, all")
+	table := flag.String("table", "all", "which table to regenerate: "+strings.Join(tables, ", "))
 	disasm := flag.Bool("disasm", false, "show dispatch plan disassembly for representative events")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the formatted tables (seeds BENCH_dispatch.json)")
 	flag.Parse()
+	if !slices.Contains(tables, *table) {
+		fmt.Fprintf(os.Stderr, "spinbench: unknown table %q\n", *table)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *disasm {
 		showDisasm()
