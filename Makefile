@@ -88,9 +88,11 @@ bench:
 
 # Benchmark-regression smoke gate: the specialized inline-plan raise must
 # stay within 25% of the committed inline/bypass ratio recorded in
-# BENCH_dispatch.json. Ratio-based so it is meaningful on any host.
+# BENCH_dispatch.json, and a metered raise over 512 inline guards within
+# the committed multiple of the same raise unmetered. Ratio-based so it is
+# meaningful on any host.
 benchsmoke:
-	SPIN_BENCH_SMOKE=1 $(GO) test -run 'TestBenchSmokeInlinePlan|TestBenchSmokeBatch|TestBenchSmokeRemote|TestBenchSmokeShard' -count=1 -v .
+	SPIN_BENCH_SMOKE=1 $(GO) test -run 'TestBenchSmokeInlinePlan|TestBenchSmokeBatch|TestBenchSmokeRemote|TestBenchSmokeShard|TestBenchSmokeMetered' -count=1 -v .
 
 # CPU profile of the parallel raise benchmarks. EXPERIMENTS.md ("Reading
 # the inline-plan profile") explains what to look for in the output of

@@ -16,10 +16,12 @@ import (
 
 	"spin/internal/codegen"
 	"spin/internal/dispatch"
+	"spin/internal/fault"
 	"spin/internal/kernel"
 	"spin/internal/remote"
 	"spin/internal/rtti"
 	"spin/internal/shard"
+	"spin/internal/vtime"
 )
 
 // smokeTrajectory is the subset of the BENCH_dispatch.json schema the gate
@@ -47,9 +49,28 @@ type smokeTrajectory struct {
 				// router's pinned route must cost at most this multiple
 				// of the same raise on a bare dispatcher event.
 				ShardRoutedLocalRatio float64 `json:"shard_routed_local_ratio"`
+				// MeteredUnmeteredRatio is a ceiling with tolerance baked
+				// in: a metered raise over 512 inactive inline guards
+				// must cost at most this multiple of the same raise
+				// unmetered on the interpreter.
+				MeteredUnmeteredRatio float64 `json:"metered_unmetered_ratio"`
 			} `json:"smoke"`
 		} `json:"native"`
 	} `json:"entries"`
+}
+
+// readSmokeTrajectory parses BENCH_dispatch.json for the smoke gates.
+func readSmokeTrajectory(t *testing.T) smokeTrajectory {
+	t.Helper()
+	raw, err := os.ReadFile("BENCH_dispatch.json")
+	if err != nil {
+		t.Fatalf("reading trajectory file: %v", err)
+	}
+	var traj smokeTrajectory
+	if err := json.Unmarshal(raw, &traj); err != nil {
+		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
+	}
+	return traj
 }
 
 // measureSerialNs runs fn through testing.Benchmark and reports ns/op,
@@ -79,14 +100,7 @@ func TestBenchSmokeInlinePlan(t *testing.T) {
 		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
 	}
 
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
+	traj := readSmokeTrajectory(t)
 	committed, tolerance := 0.0, 25.0
 	for _, e := range traj.Entries {
 		if s := e.Native.Smoke; s != nil && s.InlineBypassRatio > 0 {
@@ -185,14 +199,7 @@ func TestBenchSmokeBatch(t *testing.T) {
 		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
 	}
 
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
+	traj := readSmokeTrajectory(t)
 	floor := 0.0
 	for _, e := range traj.Entries {
 		if s := e.Native.Smoke; s != nil && s.Batch64SingleRatio > 0 {
@@ -246,14 +253,7 @@ func TestBenchSmokeRemote(t *testing.T) {
 		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
 	}
 
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
+	traj := readSmokeTrajectory(t)
 	ceiling := 0.0
 	for _, e := range traj.Entries {
 		if s := e.Native.Smoke; s != nil && s.RemoteLocalRatio > 0 {
@@ -326,14 +326,7 @@ func TestBenchSmokeShard(t *testing.T) {
 		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
 	}
 
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
+	traj := readSmokeTrajectory(t)
 	ceiling := 0.0
 	for _, e := range traj.Entries {
 		if s := e.Native.Smoke; s != nil && s.ShardRoutedLocalRatio > 0 {
@@ -394,6 +387,76 @@ func TestBenchSmokeShard(t *testing.T) {
 
 	if bestRatio > ceiling {
 		t.Errorf("routed/unrouted bypass raise ratio %.2fx exceeds committed %.2fx ceiling: the routing plane taxes the raise path",
+			bestRatio, ceiling)
+	}
+}
+
+// TestBenchSmokeMetered is the metering-cost gate: a metered raise over
+// 512 inactive inline ArgEq guards (Table 2's receive path at the
+// udp_fanin population) must cost at most the committed multiple
+// (native.smoke.metered_unmetered_ratio, ceiling with tolerance baked in)
+// of the same raise unmetered. Both dispatchers carry a fault policy, so
+// both raises run the plan interpreter rather than a specialized
+// executor: the ratio isolates what virtual-time metering adds.
+func TestBenchSmokeMetered(t *testing.T) {
+	if os.Getenv("SPIN_BENCH_SMOKE") != "1" {
+		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
+	}
+
+	ceiling := 0.0
+	for _, e := range readSmokeTrajectory(t).Entries {
+		if s := e.Native.Smoke; s != nil && s.MeteredUnmeteredRatio > 0 {
+			ceiling = s.MeteredUnmeteredRatio
+		}
+	}
+	if ceiling == 0 {
+		t.Fatal("no entry in BENCH_dispatch.json carries native.smoke.metered_unmetered_ratio")
+	}
+
+	sig := rtti.Sig(nil, rtti.Word)
+	h := dispatch.Handler{
+		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
+		Fn:   func(any, []any) any { return nil },
+	}
+	// 512 bindings whose port guard never matches, then the one that
+	// does: every raise evaluates all 513 guards and fires one handler.
+	fanIn := func(d *dispatch.Dispatcher) *dispatch.Event {
+		ev, err := d.DefineEvent("Smoke.FanIn", sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= 512; i++ {
+			port := uint64(40000 + i)
+			if i == 512 {
+				port = 7
+			}
+			if _, err := ev.Install(h, dispatch.WithGuard(dispatch.Guard{Pred: codegen.ArgEq(0, port)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ev
+	}
+	policy := dispatch.WithFaultPolicy(fault.Policy{Budget: 3})
+	var clock vtime.Clock
+	meteredEv := fanIn(dispatch.New(policy, dispatch.WithCPU(vtime.NewCPU(&clock, vtime.AlphaModel()))))
+	unmeteredEv := fanIn(dispatch.New(policy))
+
+	measureSerialNs(t, "warmup-unmetered", unmeteredEv)
+	measureSerialNs(t, "warmup-metered", meteredEv)
+	bestRatio := 0.0
+	for trial := 0; trial < 3; trial++ {
+		unmeteredNs := measureSerialNs(t, "unmetered", unmeteredEv)
+		meteredNs := measureSerialNs(t, "metered", meteredEv)
+		ratio := meteredNs / unmeteredNs
+		t.Logf("trial %d: unmetered %.1f ns/op, metered %.1f ns/op, ratio %.2fx",
+			trial, unmeteredNs, meteredNs, ratio)
+		if bestRatio == 0 || ratio < bestRatio {
+			bestRatio = ratio
+		}
+	}
+
+	if bestRatio > ceiling {
+		t.Errorf("metered/unmetered fan-in raise ratio %.2fx exceeds committed %.2fx ceiling: virtual-time metering taxes guard evaluation",
 			bestRatio, ceiling)
 	}
 }

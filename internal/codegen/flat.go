@@ -43,8 +43,10 @@ import (
 // fault-capture hook (recovery barriers are open-coded in the interpreter),
 // no decision-tree unit (the hashed lookup beats a linear flat scan for the
 // ≥4-way runs trees cover), and no unguarded direct bypass (already a plain
-// call). Metered raises (Env.CPU != nil) always take the interpreter so the
-// virtual-time charge sequence stays byte-identical to the ablation tables.
+// call). Metered raises (Env.CPU != nil) always take the interpreter, which
+// pays its virtual-time charges at clock observations (plan.go, execute):
+// every clock reading code outside the plan can make is identical with
+// specialization on or off, so the ablation tables do not move.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.

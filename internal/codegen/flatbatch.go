@@ -85,9 +85,8 @@ type BatchExecFn func(p *Plan, env *Env, frames []ArgFrame, stripeIdx int, live 
 // in which case the caller reloads and continues. Always processes at
 // least one frame of a non-empty batch.
 //
-// Metered plans (env.CPU != nil) take the per-frame interpreter below so
-// the virtual-time charge sequence stays byte-identical to a loop of
-// single raises.
+// Metered plans (env.CPU != nil) take the per-frame interpreter below, so
+// every clock reading matches a loop of single raises.
 func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	var out BatchOutcome
 	if len(frames) == 0 {
