@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint spinvet alloccheck build test race fuzz-smoke faultcheck overloadcheck journalcheck remotecheck shardcheck bench benchsmoke profile tables json
+.PHONY: check vet lint spinvet alloccheck build test race fuzz-smoke faultcheck overloadcheck journalcheck remotecheck shardcheck bench benchsmoke profile tables json sloc
 
 check: vet lint build test race
 
@@ -108,3 +108,14 @@ tables:
 # Machine-readable virtual-time results (seeds BENCH_dispatch.json).
 json:
 	$(GO) run ./cmd/spinbench -json
+
+# Net source lines for CHANGES.md: non-test Go lines per package, counted
+# over tracked files only (git ls-files), so build and test leftovers never
+# count. Compare the figures before and after a change.
+SLOC_PKGS = internal/codegen internal/dispatch internal/shard
+
+sloc:
+	@total=0; for p in $(SLOC_PKGS); do \
+		n=$$(git ls-files -- "$$p" | grep -E "^$$p/[^/]+\.go$$" | grep -v '_test\.go$$' | xargs cat | wc -l); \
+		printf '%-18s %6d\n' "$$p" "$$n"; total=$$((total + n)); \
+	done; printf '%-18s %6d\n' total "$$total"

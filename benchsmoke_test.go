@@ -52,7 +52,7 @@ type smokeTrajectory struct {
 				// MeteredUnmeteredRatio is a ceiling with tolerance baked
 				// in: a metered raise over 512 inactive inline guards
 				// must cost at most this multiple of the same raise
-				// unmetered on the interpreter.
+				// unmetered.
 				MeteredUnmeteredRatio float64 `json:"metered_unmetered_ratio"`
 			} `json:"smoke"`
 		} `json:"native"`
@@ -396,8 +396,8 @@ func TestBenchSmokeShard(t *testing.T) {
 // udp_fanin population) must cost at most the committed multiple
 // (native.smoke.metered_unmetered_ratio, ceiling with tolerance baked in)
 // of the same raise unmetered. Both dispatchers carry a fault policy, so
-// both raises run the plan interpreter rather than a specialized
-// executor: the ratio isolates what virtual-time metering adds.
+// both raises run the same protected flattened executor: the ratio
+// isolates what virtual-time metering adds.
 func TestBenchSmokeMetered(t *testing.T) {
 	if os.Getenv("SPIN_BENCH_SMOKE") != "1" {
 		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")

@@ -440,14 +440,12 @@ func faultsTable() error {
 	return nil
 }
 
-// inlineTable is the Table-1-style ablation for plan specialization
-// (DESIGN.md decision 15), measured in native time on the inline-plan
-// shape (five guarded inline handlers, one word argument): the per-step
-// interpreter, the flattened guard tree through the generic executor, and
-// the fully shape-specialized executor, with the single-handler bypass
-// alongside as the floor the specialized plan is chasing.
+// inlineTable measures plan specialization (DESIGN.md decision 15) in
+// native time on the inline-plan shape (five guarded inline handlers, one
+// word argument): the shape-specialized executor, with the single-handler
+// bypass alongside as the floor the specialized plan is chasing.
 func inlineTable() error {
-	fmt.Println("Plan-specialization ablation on the inline plan (native time, 5 inline handlers, 1 word arg)")
+	fmt.Println("Plan specialization on the inline plan (native time, 5 inline handlers, 1 word arg)")
 	sig := rtti.Sig(nil, rtti.Word)
 	mod := rtti.NewModule("Bench")
 	var bypassNs, specNs float64
@@ -494,14 +492,7 @@ func inlineTable() error {
 	if bypassNs, err = measure("bypass (1 unguarded)", codegen.Options{}, true); err != nil {
 		return err
 	}
-	noBypass := codegen.Options{DisableBypass: true}
-	if _, err = measure("interpreter", codegen.Options{DisableBypass: true, DisableSpecialize: true}, false); err != nil {
-		return err
-	}
-	if _, err = measure("flattened tree (generic)", codegen.Options{DisableBypass: true, DisableShapeSpecialize: true}, false); err != nil {
-		return err
-	}
-	if specNs, err = measure("shape-specialized", noBypass, false); err != nil {
+	if specNs, err = measure("shape-specialized", codegen.Options{DisableBypass: true}, false); err != nil {
 		return err
 	}
 	if bypassNs > 0 {

@@ -44,9 +44,9 @@ func (p *Plan) executeTraced(env *Env, args []any, raise uint64) Outcome {
 		var res any
 		completed := true
 		if p.protect != nil {
-			res, completed = p.runBindingProtected(cpu, b, args)
+			res, completed = p.callProtected(cpu, b, p.inlined(b), args)
 		} else {
-			res = p.runBinding(b, args)
+			res = callBinding(b, p.inlined(b), args)
 		}
 		if env.OnFire != nil {
 			env.OnFire(b.Tag)
@@ -76,9 +76,9 @@ func (p *Plan) executeTraced(env *Env, args []any, raise uint64) Outcome {
 			p.chargeHandler(cpu, st)
 			completed := true
 			if p.protect != nil {
-				_, completed = p.callProtected(cpu, st, args)
+				_, completed = p.callProtected(cpu, b, st.inline, args)
 			} else {
-				_ = st.call(args)
+				_ = callBinding(b, st.inline, args)
 			}
 			prog.Handler(raise, st.idx, trace.ModeFilter, completed, s, cost(s))
 			if env.OnFire != nil {
@@ -91,7 +91,7 @@ func (p *Plan) executeTraced(env *Env, args []any, raise uint64) Outcome {
 			// body runs on its own thread of control afterwards.
 			s := stamp()
 			p.chargeHandler(cpu, st)
-			inv := p.invoker(st, args)
+			inv := invoker(b, st.inline, args)
 			if p.admitQ != nil && env.SubmitHandler != nil {
 				env.SubmitHandler(p.admitQ, b.Tag, p.info.Arity, inv)
 			} else if env.SpawnHandler != nil {
@@ -111,14 +111,14 @@ func (p *Plan) executeTraced(env *Env, args []any, raise uint64) Outcome {
 		s := stamp()
 		if b.Ephemeral {
 			p.chargeHandler(cpu, st)
-			res, completed = env.RunEphemeral(b.Tag, p.invoker(st, args))
+			res, completed = env.RunEphemeral(b.Tag, invoker(b, st.inline, args))
 			prog.Handler(raise, st.idx, trace.ModeEphemeral, completed, s, cost(s))
 		} else {
 			p.chargeHandler(cpu, st)
 			if p.protect != nil {
-				res, completed = p.callProtected(cpu, st, args)
+				res, completed = p.callProtected(cpu, b, st.inline, args)
 			} else {
-				res = st.call(args)
+				res = callBinding(b, st.inline, args)
 			}
 			prog.Handler(raise, st.idx, trace.ModeSync, completed, s, cost(s))
 		}
@@ -146,7 +146,7 @@ func (p *Plan) executeTraced(env *Env, args []any, raise uint64) Outcome {
 	for i := range p.units {
 		u := &p.units[i]
 		if u.single != nil {
-			if !p.evalGuardsTraced(cpu, u.single, args, raise, metered) {
+			if !p.traceGuards(cpu, u.single, args, raise, metered) {
 				continue
 			}
 			execStep(u.single)
@@ -175,9 +175,9 @@ func (p *Plan) executeTraced(env *Env, args []any, raise uint64) Outcome {
 		var res any
 		completed := true
 		if p.protect != nil {
-			res, completed = p.runBindingProtected(cpu, b, args)
+			res, completed = p.callProtected(cpu, b, p.inlined(b), args)
 		} else {
-			res = p.runBinding(b, args)
+			res = callBinding(b, p.inlined(b), args)
 		}
 		prog.Handler(raise, -1, trace.ModeDefault, completed, s, cost(s))
 		if env.OnFire != nil {
@@ -190,10 +190,10 @@ func (p *Plan) executeTraced(env *Env, args []any, raise uint64) Outcome {
 	return out
 }
 
-// evalGuardsTraced is evalGuards with a span per evaluation: guard index,
-// inline-versus-indirect, and outcome. Evaluation stops at the first
-// failing guard, whose failure span closes the step.
-func (p *Plan) evalGuardsTraced(cpu *vtime.CPU, st *step, args []any, raise uint64, metered bool) bool {
+// traceGuards evaluates one step's guard list with a span per
+// evaluation: guard index, inline-versus-indirect, and outcome. Evaluation
+// stops at the first failing guard, whose failure span closes the step.
+func (p *Plan) traceGuards(cpu *vtime.CPU, st *step, args []any, raise uint64, metered bool) bool {
 	prog := p.prog
 	for i := range st.guards {
 		g := &st.guards[i]
@@ -223,4 +223,12 @@ func (p *Plan) evalGuardsTraced(cpu *vtime.CPU, st *step, args []any, raise uint
 		}
 	}
 	return true
+}
+
+// chargeHandler charges the handler-invocation cost for one step straight
+// to the meter, which the traced twin stamps around it.
+func (p *Plan) chargeHandler(cpu *vtime.CPU, st *step) {
+	call, perArg := handlerCost(st.inline)
+	cpu.Charge(call)
+	cpu.ChargeN(perArg, p.info.Arity)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spin/internal/stripe"
+	"spin/internal/trace"
 	"spin/internal/vtime"
 )
 
@@ -16,7 +17,7 @@ func (nopFaultHook) GuardPanic(any, any, []byte)   {}
 func (nopFaultHook) SyncCost(any, vtime.Duration)  {}
 
 // guardedBindings builds n bindings each guarded by an always-true global
-// comparison, the canonical flat-eligible shape.
+// comparison, the canonical guarded shape.
 func guardedBindings(n int, count *int) []*Binding {
 	cell := new(atomic.Uint64)
 	bs := make([]*Binding, n)
@@ -39,26 +40,18 @@ func TestSpecializeEligibility(t *testing.T) {
 		return Compile(info(1, false), bs, nil, nil, opts)
 	}
 
-	if !mkPlan(nil, Options{}).Specialized() {
-		t.Error("guarded multi-binding plan must specialize")
-	}
-	if mkPlan(nil, Options{DisableSpecialize: true}).Specialized() {
-		t.Error("DisableSpecialize must keep the interpreter")
-	}
-	if !mkPlan(nil, Options{DisableShapeSpecialize: true}).Specialized() {
-		t.Error("DisableShapeSpecialize still flattens (generic shape)")
-	}
-	if mkPlan(func(b *Binding) { b.Async = true }, Options{}).Specialized() {
-		t.Error("async step must stay on the interpreter")
-	}
-	if mkPlan(func(b *Binding) { b.Ephemeral = true }, Options{}).Specialized() {
-		t.Error("ephemeral step must stay on the interpreter")
-	}
-	if mkPlan(func(b *Binding) { b.Filter = true }, Options{}).Specialized() {
-		t.Error("filter step must stay on the interpreter")
-	}
-	if mkPlan(nil, Options{Protect: nopFaultHook{}}).Specialized() {
-		t.Error("fault-protected plan must stay on the interpreter")
+	// Every plan but the direct bypass runs the one flattened executor:
+	// slow steps, fault protection and decision trees included.
+	for name, p := range map[string]*Plan{
+		"guarded":   mkPlan(nil, Options{}),
+		"async":     mkPlan(func(b *Binding) { b.Async = true }, Options{}),
+		"ephemeral": mkPlan(func(b *Binding) { b.Ephemeral = true }, Options{}),
+		"filter":    mkPlan(func(b *Binding) { b.Filter = true }, Options{}),
+		"protect":   mkPlan(nil, Options{Protect: nopFaultHook{}}),
+	} {
+		if !p.Specialized() {
+			t.Errorf("%s plan must run the flattened executor", name)
+		}
 	}
 
 	// An unguarded single binding compiles to the direct bypass, not a
@@ -76,7 +69,7 @@ func TestSpecializeEligibility(t *testing.T) {
 			gb.Direct() != nil, gb.Specialized())
 	}
 
-	// A decision-tree run stays on the interpreter's hashed lookup.
+	// A decision-tree run lowers to one tree unit of the flat plan.
 	tree := make([]*Binding, treeThreshold)
 	for i := range tree {
 		tree[i] = &Binding{
@@ -85,11 +78,14 @@ func TestSpecializeEligibility(t *testing.T) {
 		}
 	}
 	tp := Compile(info(1, false), tree, nil, nil, Options{EnableDecisionTree: true})
-	if tp.Specialized() {
-		t.Error("decision-tree plan must stay on the interpreter")
+	if !tp.Specialized() || len(tp.flat) != 1 || tp.flat[0].kind != kindTree {
+		t.Error("decision-tree plan must lower to one flat tree unit")
 	}
 }
 
+// TestSpecializedExecutesIdentically runs the flattened executor against
+// the traced twin, the independent per-step routine, on a plan mixing an
+// inline leaf, an And-tree and an out-of-line guard.
 func TestSpecializedExecutesIdentically(t *testing.T) {
 	cell := new(atomic.Uint64)
 	fired := []string{}
@@ -108,19 +104,19 @@ func TestSpecializedExecutesIdentically(t *testing.T) {
 		return fired, out
 	}
 	for _, args := range [][]any{{uint64(80)}, {uint64(443)}, {uint64(7)}} {
-		want, wantOut := run(Options{DisableSpecialize: true}, args...)
-		for _, opts := range []Options{{}, {DisableShapeSpecialize: true}} {
+		want, wantOut := run(Options{Trace: trace.New(trace.Config{Sample: 1})}, args...)
+		for _, opts := range []Options{{}, {DisableInline: true, DisablePeephole: true}} {
 			got, gotOut := run(opts, args...)
 			if len(got) != len(want) {
-				t.Fatalf("opts %+v args %v: fired %v, interpreter %v", opts, args, got, want)
+				t.Fatalf("opts %+v args %v: fired %v, traced twin %v", opts, args, got, want)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("opts %+v args %v: order %v, interpreter %v", opts, args, got, want)
+					t.Fatalf("opts %+v args %v: order %v, traced twin %v", opts, args, got, want)
 				}
 			}
 			if gotOut != wantOut {
-				t.Fatalf("opts %+v args %v: outcome %+v, interpreter %+v", opts, args, gotOut, wantOut)
+				t.Fatalf("opts %+v args %v: outcome %+v, traced twin %+v", opts, args, gotOut, wantOut)
 			}
 		}
 	}
@@ -156,31 +152,33 @@ func TestSpecializedDefaultHandler(t *testing.T) {
 	}
 }
 
-// TestMeteredChargeParity pins the zero-cost-off contract for metering:
-// a metered raise must charge the identical virtual-time sequence whether
-// or not the plan carries a specialized executor, because metered raises
-// always run the interpreter.
+// TestMeteredChargeParity pins the metered charge of the flattened
+// executor to the traced twin's, which charges each operation as it runs:
+// the same plan must cost the same virtual time through either routine.
 func TestMeteredChargeParity(t *testing.T) {
 	n := 0
 	args := []any{uint64(1)}
 	costs := make(map[bool]vtime.Duration)
-	for _, disable := range []bool{false, true} {
-		p := Compile(info(1, false), guardedBindings(3, &n), nil, nil,
-			Options{DisableSpecialize: disable})
-		if p.Specialized() == disable {
-			t.Fatalf("DisableSpecialize=%v: Specialized()=%v", disable, p.Specialized())
+	for _, traced := range []bool{false, true} {
+		var opts Options
+		if traced {
+			opts.Trace = trace.New(trace.Config{Sample: 1})
 		}
-		costs[disable] = meteredExec(p, args)
+		p := Compile(info(1, false), guardedBindings(3, &n), nil, nil, opts)
+		if p.Traced() != traced {
+			t.Fatalf("Traced()=%v, want %v", p.Traced(), traced)
+		}
+		costs[traced] = meteredExec(p, args)
 	}
-	if costs[false] != costs[true] {
-		t.Fatalf("metered cost diverges with specialization: on=%v off=%v",
+	if costs[false] != costs[true] || costs[false] == 0 {
+		t.Fatalf("metered cost diverges from the traced twin: flat=%v traced=%v",
 			costs[false], costs[true])
 	}
 }
 
 // TestSpecializedStatsFallback pins the per-fire OnFire contract for
-// direct codegen users: without Env.FiredTotal the specialized executor
-// reports each firing through OnFire exactly like the interpreter.
+// direct codegen users: without Env.FiredTotal the executor
+// reports each firing through OnFire exactly like the traced twin.
 func TestSpecializedStatsFallback(t *testing.T) {
 	n := 0
 	bs := guardedBindings(3, &n)

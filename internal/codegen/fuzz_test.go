@@ -1,19 +1,22 @@
 package codegen
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"spin/internal/stripe"
 	"spin/internal/trace"
+	"spin/internal/vtime"
 )
 
 // Differential fuzzing: the optimized compiled plan — peephole
 // simplification, guard reordering, inline evaluation, the single-binding
-// bypass, the decision tree, the flattened shape-specialized executors,
-// and the traced twin routine — must fire exactly the same handlers, in
-// the same order, as a naive reference model that walks the binding list
-// evaluating every guard verbatim.
+// bypass, the decision tree, the flattened executor with and without fault
+// protection, and the traced twin routine — must fire exactly the same
+// handlers, in the same order, as a naive reference model that walks the
+// binding list evaluating every guard verbatim. Metered, the flattened
+// executor must also charge exactly what the traced twin charges.
 
 // fuzzReader decodes a fuzz input byte stream; exhausted streams yield
 // zeros so every input is a complete (if boring) program.
@@ -88,7 +91,7 @@ func FuzzPredCompile(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 3, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		arity := int(r.byte() % 6) // 0..5: every specialized arity shape
+		arity := int(r.byte() % 6) // 0..5: every typed raise width
 		var cell atomic.Uint64
 		cell.Store(uint64(r.byte() % 4))
 		pred := genPred(r, 3, arity, &cell)
@@ -115,8 +118,7 @@ func FuzzPredCompile(f *testing.F) {
 			{},
 			{DisableInline: true, DisableBypass: true},
 			{DisablePeephole: true},
-			{DisableSpecialize: true},
-			{DisableShapeSpecialize: true},
+			{Protect: nopFaultHook{}},
 		} {
 			plan := Compile(EventInfo{Name: "Fuzz.Pred", Arity: arity},
 				[]*Binding{binding}, nil, nil, opts)
@@ -139,11 +141,13 @@ func FuzzPredCompile(f *testing.F) {
 }
 
 // FuzzTreeDispatch compiles a random binding list under every optimizer
-// configuration — including the decision tree, the flattened
-// shape-specialized executors, and the traced routine — and checks each
-// fires the same handler sequence as the reference model, merges results
-// identically, and produces the same statistics totals through the
-// per-fire and batched counting protocols.
+// configuration — including the decision tree, fault protection, and the
+// traced routine — and checks each fires the same handler sequence as the
+// reference model, merges results identically, and produces the same
+// statistics totals through the per-fire and batched counting protocols.
+// A metered pass then raises each untraced configuration against its
+// traced twin and requires the same outcome, handler-entry clock readings,
+// per-account totals and final clock.
 func FuzzTreeDispatch(f *testing.F) {
 	// A decision-tree-shaped seed: six consecutive ArgEq guards on arg 0.
 	f.Add([]byte{0, 6, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 0, 1, 0, 1, 1, 0, 2, 0, 1, 2, 3})
@@ -151,7 +155,7 @@ func FuzzTreeDispatch(f *testing.F) {
 	f.Add([]byte{2, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		arity := int(r.byte() % 7) // 0..6: every arity shape plus arity-any
+		arity := int(r.byte() % 7) // 0..6: every typed raise width and one wider
 		n := 1 + int(r.byte()%10)
 		hasResult := r.byte()%2 == 1
 		foldResults := hasResult && r.byte()%2 == 1
@@ -159,6 +163,10 @@ func FuzzTreeDispatch(f *testing.F) {
 		cell.Store(uint64(r.byte() % 4))
 
 		var fired []int
+		// meter, when set, is the metered pass's CPU: handlers note the
+		// clock at entry and do metered work of their own.
+		var meter *vtime.CPU
+		var stamps []vtime.Time
 		preds := make([]*Pred, n) // reference model: nil = unguarded
 		bindings := make([]*Binding, n)
 		for i := 0; i < n; i++ {
@@ -179,6 +187,10 @@ func FuzzTreeDispatch(f *testing.F) {
 			bindings[i] = &Binding{
 				Fn: func(any, []any) any {
 					fired = append(fired, i)
+					if meter != nil {
+						stamps = append(stamps, meter.Now())
+						meter.Spend(13)
+					}
 					return uint64(i)
 				},
 				Name:      "fuzz.H",
@@ -217,9 +229,9 @@ func FuzzTreeDispatch(f *testing.F) {
 			{EnableDecisionTree: true},
 			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
 			{EnableDecisionTree: true, Trace: tracer}, // traced twin routine
-			{DisableSpecialize: true},                 // pure interpreter
-			{DisableShapeSpecialize: true},            // flattened, generic shape
-			{Trace: tracer},                           // sampling entry over flat-eligible plans
+			{Protect: nopFaultHook{}},
+			{EnableDecisionTree: true, Protect: nopFaultHook{}},
+			{Trace: tracer}, // sampling entry over linear plans
 		}
 		for trial := 0; trial < 4; trial++ {
 			args := genArgs(r, arity)
@@ -260,8 +272,8 @@ func FuzzTreeDispatch(f *testing.F) {
 				}
 
 				// Statistics twins: the per-fire OnFire protocol must match
-				// the model for every plan, and on specialized untraced plans
-				// (the only ones that take the batched route) the batched
+				// the model for every plan, and on untraced plans (the only
+				// ones that take the batched route) the batched
 				// FireCount/FiredTotal protocol must produce the same totals.
 				perFire := make([]int64, n)
 				fired = nil
@@ -282,7 +294,7 @@ func FuzzTreeDispatch(f *testing.F) {
 							opts, args, i, got, wantN)
 					}
 				}
-				if plan.Specialized() && opts.Trace == nil {
+				if opts.Trace == nil {
 					before := make([]int64, n)
 					for i, b := range bindings {
 						before[i] = b.FireCount.Load()
@@ -302,6 +314,45 @@ func FuzzTreeDispatch(f *testing.F) {
 					}
 				}
 			}
+
+			// Metered pass. Each raise is bracketed the way the dispatcher
+			// brackets a metered raise, and OnFire notes the clock too.
+			type meterRun struct {
+				out       Outcome
+				stamps    []vtime.Time
+				breakdown vtime.Breakdown
+				now       vtime.Time
+			}
+			runMetered := func(opts Options) meterRun {
+				var clock vtime.Clock
+				meter = vtime.NewCPU(&clock, vtime.AlphaModel())
+				defer func() { meter = nil }()
+				stamps, fired = nil, nil
+				plan := Compile(info, bindings, resultFn, nil, opts)
+				env := &Env{CPU: meter, OnFire: func(any) { stamps = append(stamps, meter.Now()) }}
+				meter.Begin(vtime.AccountEvents)
+				out := plan.Execute(env, append([]any(nil), args...))
+				meter.End()
+				return meterRun{out, stamps, meter.Breakdown(), clock.Now()}
+			}
+			for _, opts := range configs {
+				if opts.Trace != nil {
+					continue
+				}
+				got := runMetered(opts)
+				opts.Trace = trace.New(trace.Config{Capacity: 64})
+				want := runMetered(opts)
+				if got.out != want.out {
+					t.Fatalf("opts %+v args %v: metered outcome %+v, traced twin %+v", opts, args, got.out, want.out)
+				}
+				if !reflect.DeepEqual(got.stamps, want.stamps) {
+					t.Fatalf("opts %+v args %v: clock readings %v, traced twin %v", opts, args, got.stamps, want.stamps)
+				}
+				if got.breakdown != want.breakdown || got.now != want.now || got.now == 0 {
+					t.Fatalf("opts %+v args %v: clock %d %v, traced twin %d %v",
+						opts, args, got.now, got.breakdown.Totals, want.now, want.breakdown.Totals)
+				}
+			}
 		}
 	})
 }
@@ -319,7 +370,7 @@ func FuzzBatchDispatch(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 1, 3, 9, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		arity := int(r.byte() % 6) // 0..5: the flat batch shapes
+		arity := int(r.byte() % 6) // 0..5: the RaiseBatch0..5 widths
 		n := 1 + int(r.byte()%8)
 		hasResult := r.byte()%2 == 1
 		foldResults := hasResult && r.byte()%2 == 1
@@ -402,11 +453,10 @@ func FuzzBatchDispatch(f *testing.F) {
 		}
 
 		// The env mirrors the dispatcher's: OnFire and FiredTotal land in the
-		// SAME counters, so a path that takes the batched protocol (flat and
-		// direct batch executors, flat single-raise) and a path that takes
-		// the per-fire callback (interpreter, traced twin, direct single
-		// raise) produce identical totals — which is exactly the equivalence
-		// the dispatch layer depends on.
+		// SAME counters, so a path that takes the batched protocol (the
+		// executors and the direct batch loop) and a path that takes the
+		// per-fire callback (the traced twin) produce identical totals —
+		// which is exactly the equivalence the dispatch layer depends on.
 		mkEnv := func(total *stripe.Counter) *Env {
 			return &Env{
 				FiredTotal: total,
@@ -426,8 +476,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			{EnableDecisionTree: true},
 			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
 			{EnableDecisionTree: true, Trace: tracer},
-			{DisableSpecialize: true},
-			{DisableShapeSpecialize: true},
+			{Protect: nopFaultHook{}},
 			{Trace: tracer},
 		}
 		for _, opts := range configs {

@@ -102,6 +102,17 @@ func meterCases() []meterCase {
 					Fn: l.handler("b", nil)},
 			}, nil, nil, Options{DisablePeephole: true}
 		}},
+		{"constant guards without peephole", 1, func(l *clockLog) ([]*Binding, ResultFn, *Binding, Options) {
+			// A constant-true guard lowers to no leaf and an And guard to
+			// several, but each is charged as one guard.
+			return []*Binding{
+				{Tag: "a", Guards: []Guard{{Pred: True()}, {Pred: ArgEq(0, 1)}}, Fn: l.handler("a", nil)},
+				{Tag: "b", Guards: []Guard{{Pred: And(True(), ArgLt(0, 3))}, {Fn: l.guard("gb", argIs(0, 2))},
+					{Pred: True()}}, Fn: l.handler("b", nil)},
+				{Tag: "c", Guards: []Guard{{Pred: True()}, {Pred: False()}}, Fn: l.handler("c", nil)},
+				{Tag: "d", Guards: []Guard{{Pred: True()}}, Inline: Nop()},
+			}, nil, nil, Options{DisablePeephole: true}
+		}},
 		{"and-tree guards", 1, func(l *clockLog) ([]*Binding, ResultFn, *Binding, Options) {
 			return []*Binding{
 				{Tag: "a", Guards: []Guard{{Pred: And(ArgLt(0, 3), Not(ArgEq(0, 1)))}}, Fn: l.handler("a", nil)},
@@ -229,7 +240,7 @@ func runMetered(t *testing.T, c meterCase, traced bool, raises [][]uint64) meter
 }
 
 // TestMeteredRaiseMatchesTracedTwin is the differential check on the
-// interpreter's charge batching: for every plan shape, the untraced
+// executor's charge batching: for every plan shape, the untraced
 // routine — which adds charges up and pays them at clock observations —
 // must leave every clock reading outside the plan, every SyncCost, every
 // per-account total and the final clock exactly where the traced twin,

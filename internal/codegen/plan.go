@@ -3,6 +3,7 @@ package codegen
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"spin/internal/admit"
@@ -84,9 +85,10 @@ type Binding struct {
 	// termination reporting). The generator never inspects it.
 	Tag any
 	// FireCount, when non-nil, is the binding's striped fire counter. The
-	// specialized executors (flat.go) increment it directly through one
-	// hoisted stripe shard index per raise instead of calling Env.OnFire
-	// per firing; the interpreter ignores it and keeps the OnFire contract.
+	// executors (flat.go) increment it directly through one hoisted stripe
+	// shard index per raise when Env.FiredTotal is set, instead of calling
+	// Env.OnFire per firing; the traced twin ignores it and keeps the
+	// OnFire contract.
 	FireCount *stripe.Counter
 	// Name is the handler's qualified procedure name, used only to label
 	// trace spans; the generated code never inspects it.
@@ -132,22 +134,6 @@ type Options struct {
 	// through a hash on the argument word instead of a linear guard
 	// scan. Off by default, matching the measured system; see tree.go.
 	EnableDecisionTree bool
-	// DisableSpecialize keeps every plan on the per-step interpreter,
-	// disabling the ahead-of-time flattened, shape-specialized executors
-	// (flat.go) — the "interpreter" row of the specialization ablation.
-	DisableSpecialize bool
-	// DisableShapeSpecialize keeps the flattened guard/body lowering but
-	// always selects the one generic-shape executor instead of the
-	// compile-time (arity × result × guarded) variant — the ablation's
-	// middle tier, isolating flattening from shape selection.
-	DisableShapeSpecialize bool
-	// IncrementalInstall switches handler installation from full plan
-	// regeneration (cost linear in the bindings present; O(n^2) for n
-	// installs, §3.1) to an incremental append (constant cost per
-	// install) — the "more incremental (and economical) approach to
-	// installation" the paper anticipates needing. The generated plan
-	// is identical; only the installation cost model changes.
-	IncrementalInstall bool
 	// Trace, when non-nil, compiles trace recording steps into the plan:
 	// the generated routine registers its step layout with the tracer and
 	// sampled raises execute a traced twin of the dispatch loop. A nil
@@ -230,18 +216,13 @@ type Plan struct {
 	// (Options.Journal); nil plans raise with no journal check beyond one
 	// nil test.
 	jrnl *journal.Journal
-	// Ahead-of-time specialization (flat.go): the flattened step array, the
-	// shared guard-leaf pool its steps index into, the lowered default
-	// handler, and the shape-specialized executor selected at compile time.
-	// All nil/empty when the plan stays on the interpreter.
-	flat        []flatStep
-	flatPreds   []flatPred
-	flatDefault *flatStep
-	flatExec    ExecFn
-	// flatBatchExec is the batch-shaped twin of flatExec (flatbatch.go):
-	// the same stenciled guard walk and lowered bodies with the frame loop
-	// inside the executor, selected by the same shape indices.
-	flatBatchExec BatchExecFn
+	// The lowered plan (flat.go): one flattened record per unit, the shared
+	// guard-leaf pool its steps index into, and the executor selected at
+	// compile time (execDirect for the direct bypass, which has no flat
+	// form).
+	flat      []flatStep
+	flatPreds []flatPred
+	exec      ExecFn
 }
 
 // Env supplies the execution hooks the generated routine needs from the
@@ -272,13 +253,13 @@ type Env struct {
 	// OnFire, if non-nil, is called with the binding tag each time a
 	// handler fires (including default handlers).
 	OnFire func(tag any)
-	// FiredTotal, if non-nil, switches the specialized executors to
-	// batched statistics: per-binding counts go directly to
-	// Binding.FireCount and the number of handlers that fired (including a
-	// default-handler firing) is added to FiredTotal once per raise, all
-	// through the caller's hoisted stripe shard index. The interpreter and
-	// the traced twin ignore it and keep the per-fire OnFire contract; a
-	// raise produces the same counter totals either way.
+	// FiredTotal, if non-nil, switches the executors to batched
+	// statistics: per-binding counts go directly to Binding.FireCount and
+	// the number of handlers that fired (including filter and
+	// default-handler firings) is added to FiredTotal once per raise, all
+	// through the caller's hoisted stripe shard index. The traced twin
+	// ignores it and keeps the per-fire OnFire contract; a raise produces
+	// the same counter totals either way.
 	FiredTotal *stripe.Counter
 }
 
@@ -302,7 +283,8 @@ type Outcome struct {
 // returned plan is immutable; the dispatcher swaps it in atomically.
 func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
 	p := &Plan{info: info, opts: opts, resultFn: resultFn, defaultB: defaultB,
-		protect: opts.Protect, admitQ: opts.Admit, jrnl: opts.Journal}
+		protect: opts.Protect, admitQ: opts.Admit, jrnl: opts.Journal,
+		steps: make([]step, 0, len(bindings))}
 	for _, b := range bindings {
 		st, live := compileBinding(b, opts)
 		if !live {
@@ -402,21 +384,38 @@ func (p *Plan) TreeUnits() (units, covered int) {
 // compileBinding simplifies one binding's guard list. The second result is
 // false when peephole proved the binding can never fire.
 func compileBinding(b *Binding, opts Options) (step, bool) {
-	st := step{b: b}
-	for _, g := range b.Guards {
-		if g.Pred != nil && !opts.DisablePeephole {
-			s := g.Pred.Simplify()
-			switch s.Op {
-			case PredTrue:
-				continue // elide constant-true guard
-			case PredFalse:
-				return step{}, false // dead binding
-			}
-			g = Guard{Pred: s}
-		}
-		st.guards = append(st.guards, g)
-	}
+	st := step{b: b, guards: b.Guards}
 	if !opts.DisablePeephole {
+		// Copy-on-write: a guard list peephole leaves alone (the common
+		// single-leaf guard) shares the binding's slice.
+		var out []Guard
+		edit := func(i int) {
+			if out == nil {
+				out = append(make([]Guard, 0, len(b.Guards)), b.Guards[:i]...)
+			}
+		}
+		for i, g := range b.Guards {
+			if g.Pred != nil {
+				s := g.Pred.Simplify()
+				switch s.Op {
+				case PredTrue:
+					edit(i)
+					continue // elide constant-true guard
+				case PredFalse:
+					return step{}, false // dead binding
+				}
+				if s != g.Pred || g.Fn != nil || g.Closure != nil {
+					edit(i)
+					g = Guard{Pred: s}
+				}
+			}
+			if out != nil {
+				out = append(out, g)
+			}
+		}
+		if out != nil {
+			st.guards = out
+		}
 		st.guards = reorderGuards(st.guards)
 	}
 	st.inline = !opts.DisableInline && (&Binding{
@@ -476,58 +475,37 @@ func (p *Plan) FullyInline() bool { return p.allInline }
 // Execute runs the generated dispatch routine. args is the dispatcher's
 // private per-raise argument vector: filters mutate it in place, which is
 // visible to subsequent steps but never to the raiser.
+//
+// Tracing compiled in draws a sampling decision per raise and runs the
+// traced twin of the routine for sampled raises; untraced plans pay only
+// a nil check for it (FastExec).
 func (p *Plan) Execute(env *Env, args []any) Outcome {
-	if p.prog != nil {
-		// Tracing compiled in: draw the sampling decision and run the
-		// traced twin of the routine for sampled raises. Untraced plans
-		// pay only the nil check above.
-		if raise, sampled := p.prog.Begin(); sampled {
-			return p.executeTraced(env, args, raise)
-		}
-	}
-	return p.execute(env, args)
+	return p.FastExec()(p, env, args, stripe.Index())
 }
 
-// execute is Execute past the sampling decision: the untraced routine. The
-// batch entry points call it per frame after drawing one decision for the
-// whole batch.
-//
-// A metered raise adds its charges up in a tab and pays them with one
-// meter update immediately before any code outside the plan can run or
-// read the clock: a handler, filter, out-of-line guard, result handler,
-// spawn or submit, ephemeral supervision, the default handler, OnFire,
-// and the return to the raiser. Every clock reading, per-account total and
-// fault-hook cost is the same as if each operation were charged as it ran
-// (DESIGN.md decision 20); the traced twin still charges per operation.
-func (p *Plan) execute(env *Env, args []any) Outcome {
-	cpu := env.CPU
-	if p.flatExec != nil && cpu == nil {
-		// Unmetered raise on a specialized plan: straight-line executor.
-		// Metered raises stay on the interpreter below, which carries the
-		// virtual-time tab. (The dispatcher normally calls the executor
-		// directly via FastExec with its own hoisted stripe index; this
-		// route serves direct codegen users and the unsampled raises of
-		// traced plans.)
-		return p.flatExec(p, env, args, stripe.Index())
-	}
-	t := tab{cpu: cpu, model: cpu.Model()}
-	if p.direct != nil {
-		t.charge(vtime.CallDirect)
-		t.chargeN(vtime.CallDirectArg, p.info.Arity)
-		t.settle()
-		b := p.direct
-		var res any
-		if p.protect != nil {
-			res, _ = p.runBindingProtected(cpu, b, args)
-		} else {
-			res = p.runBinding(b, args)
-		}
-		if env.OnFire != nil {
-			env.OnFire(b.Tag)
-		}
-		return Outcome{Result: res, Fired: 1}
-	}
+// tab is a metered raise's running virtual-time total: charges made
+// between two clock observations, not yet paid to the meter. A metered
+// raise pays it with one meter update immediately before any code outside
+// the plan can run or read the clock: a handler, filter, out-of-line
+// guard, result handler, spawn or submit, ephemeral supervision, the
+// default handler, OnFire, and the return to the raiser. Every clock
+// reading, per-account total and fault-hook cost is the same as if each
+// operation were charged as it ran (DESIGN.md decision 20); the traced
+// twin still charges per operation. With a nil CPU it stays zero and
+// every method is a nil check.
+type tab struct {
+	cpu   *vtime.CPU
+	model *vtime.Model
+	owed  vtime.Duration
+	// guard is the cost of one predicate guard in this plan's
+	// configuration, clamped at zero like every other charge.
+	guard vtime.Duration
+}
 
+// openTab starts a metered raise of a flattened plan: the dispatch-entry
+// charges, and the per-guard cost the guard walk multiplies.
+func (p *Plan) openTab(cpu *vtime.CPU) tab {
+	t := tab{cpu: cpu, model: cpu.Model()}
 	if p.allInline {
 		t.charge(vtime.InlineEntry)
 		t.chargeN(vtime.ArgCopy, p.info.Arity)
@@ -540,130 +518,14 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 		// ahead of the first filter (§2.4 Typechecking).
 		t.chargeN(vtime.ArgCopy, p.info.Arity)
 	}
-
-	var out Outcome
-	var haveResult bool
-	// execStep runs one step whose guards have already passed. Synchronous
-	// handlers are called directly — routing them through invoker's
-	// deferred-call closure would heap-allocate on every raise; only the
-	// async and ephemeral paths, which genuinely need a detachable
-	// invocation, pay for one.
-	execStep := func(st *step) {
-		b := st.b
-		call, perArg := st.handlerCost()
-		t.charge(call)
-		t.chargeN(perArg, p.info.Arity)
-		t.settle()
-		if b.Filter {
-			// Filters transform arguments for downstream handlers;
-			// they neither produce results nor count as the event
-			// having been handled (§2.3 "Passing arguments").
-			if p.protect != nil {
-				_, _ = p.callProtected(cpu, st, args)
-			} else {
-				_ = st.call(args)
-			}
-			if env.OnFire != nil {
-				env.OnFire(b.Tag)
-			}
-			return
-		}
-		if b.Async {
-			inv := p.invoker(st, args)
-			if p.admitQ != nil && env.SubmitHandler != nil {
-				// Admission compiled in: the invocation passes through
-				// the bounded queue and may be shed under overload.
-				env.SubmitHandler(p.admitQ, b.Tag, p.info.Arity, inv)
-			} else if env.SpawnHandler != nil {
-				env.SpawnHandler(b.Tag, p.info.Arity, inv)
-			} else {
-				env.Spawn(p.info.Arity, func() { _ = inv(context.Background()) })
-			}
-			out.Fired++
-			if env.OnFire != nil {
-				env.OnFire(b.Tag)
-			}
-			return
-		}
-		var res any
-		completed := true
-		if b.Ephemeral {
-			res, completed = env.RunEphemeral(b.Tag, p.invoker(st, args))
-		} else if p.protect != nil {
-			res, completed = p.callProtected(cpu, st, args)
-		} else {
-			res = st.call(args)
-		}
-		out.Fired++
-		if env.OnFire != nil {
-			env.OnFire(b.Tag)
-		}
-		if !p.info.HasResult || !completed {
-			return
-		}
-		if p.resultFn != nil {
-			t.charge(vtime.ResultMerge)
-			t.settle()
-			out.Result = p.resultFn(out.Result, res, out.Fired-1)
-		} else {
-			if haveResult {
-				out.Ambiguous = true
-			}
-			out.Result = res
-			haveResult = true
-		}
+	// With inlining disabled the generator emitted an out-of-line call to
+	// each predicate: same evaluation, indirect-call price.
+	k := vtime.GuardInline
+	if p.opts.DisableInline {
+		k = vtime.GuardIndirect
 	}
-
-	for i := range p.units {
-		u := &p.units[i]
-		if u.single != nil {
-			if !p.evalGuards(&t, u.single, args) {
-				continue
-			}
-			execStep(u.single)
-			continue
-		}
-		// Decision tree: one inline comparison-equivalent lookup
-		// replaces the whole run's guard evaluations (§3.2 future
-		// work; see tree.go).
-		t.charge(vtime.GuardInline)
-		w, ok := argWord(args, u.treeArg)
-		if !ok {
-			continue
-		}
-		branch := u.branches[w]
-		for j := range branch {
-			execStep(&branch[j])
-		}
-	}
-
-	if out.Fired == 0 && p.defaultB != nil {
-		b := p.defaultB
-		t.charge(vtime.HandlerIndirect)
-		t.settle()
-		var res any
-		if p.protect != nil {
-			res, _ = p.runBindingProtected(cpu, b, args)
-		} else {
-			res = p.runBinding(b, args)
-		}
-		if env.OnFire != nil {
-			env.OnFire(b.Tag)
-		}
-		out.Result = res
-		out.UsedDefault = true
-	}
-	t.settle()
-	return out
-}
-
-// tab is a metered raise's running virtual-time total: charges made
-// between two clock observations, not yet paid to the meter. With a nil
-// CPU it stays zero and every method is a nil check.
-type tab struct {
-	cpu   *vtime.CPU
-	model *vtime.Model
-	owed  vtime.Duration
+	t.guard = max(t.model.Cost(k), 0)
+	return t
 }
 
 // charge adds the cost of one operation of kind k.
@@ -681,6 +543,20 @@ func (t *tab) chargeN(k vtime.Kind, n int) {
 	}
 }
 
+// guards adds the cost of n predicate guards. Predicate guards are pure
+// comparisons that cannot observe the clock, so the guard walk counts them
+// at compile time and pays them as one multiple when the step exits or an
+// out-of-line guard is about to run. Only metered raises call it.
+func (t *tab) guards(n int32) { t.owed += t.guard * vtime.Duration(n) }
+
+// chargeHandler adds one handler invocation: the call and the
+// per-argument binding cost.
+func (t *tab) chargeHandler(inline bool, arity int) {
+	call, perArg := handlerCost(inline)
+	t.charge(call)
+	t.chargeN(perArg, arity)
+}
+
 // settle pays the running total with one meter update. It runs before
 // any code outside the plan can observe the clock.
 func (t *tab) settle() {
@@ -690,68 +566,25 @@ func (t *tab) settle() {
 	}
 }
 
-// evalGuards evaluates one step's guard list, charging per the generated
-// configuration. Predicate guards are pure comparisons that cannot observe
-// the clock, so they are counted from the loop index and charged when the
-// step exits or an out-of-line guard is about to run; an unmetered raise
-// pays nothing per guard.
-func (p *Plan) evalGuards(t *tab, st *step, args []any) bool {
-	// With inlining disabled the generator emitted an out-of-line call to
-	// each predicate: same evaluation, indirect-call price.
-	predCost := vtime.GuardInline
-	if p.opts.DisableInline {
-		predCost = vtime.GuardIndirect
-	}
-	counted := 0 // guards before this index are already charged
-	for i := range st.guards {
-		g := &st.guards[i]
-		if g.Pred != nil {
-			if !g.Pred.Eval(args) {
-				t.chargeN(predCost, i+1-counted)
-				return false
-			}
-			continue
-		}
-		t.chargeN(predCost, i-counted)
-		t.charge(vtime.GuardIndirect)
-		t.settle()
-		counted = i + 1
-		var pass bool
-		if p.protect != nil {
-			pass = p.guardProtected(g, st.b.Tag, args)
-		} else {
-			pass = g.Fn(g.Closure, args)
-		}
-		if !pass {
-			return false
-		}
-	}
-	t.chargeN(predCost, len(st.guards)-counted)
-	return true
-}
-
 // handlerCost names the handler-invocation charges for one step: the call
 // and the per-argument binding cost.
-func (st *step) handlerCost() (call, perArg vtime.Kind) {
-	if st.inline {
+func handlerCost(inline bool) (call, perArg vtime.Kind) {
+	if inline {
 		return vtime.HandlerInline, vtime.BindingInlineArg
 	}
 	return vtime.HandlerIndirect, vtime.BindingIndirectArg
 }
 
-// chargeHandler charges the handler-invocation cost for one step straight
-// to the meter (the traced twin, which stamps the clock around it).
-func (p *Plan) chargeHandler(cpu *vtime.CPU, st *step) {
-	call, perArg := st.handlerCost()
-	cpu.Charge(call)
-	cpu.ChargeN(perArg, p.info.Arity)
-}
+// inlined reports whether a non-step binding (the direct bypass or the
+// default handler) runs its inline body.
+func (p *Plan) inlined(b *Binding) bool { return b.Inline != nil && !p.opts.DisableInline }
 
-// call invokes the step's handler synchronously — the "direct procedure
-// call" the unrolled routine makes — with no intermediate closure.
-func (st *step) call(args []any) any {
-	b := st.b
-	if st.inline {
+// callBinding invokes b synchronously — the direct procedure call the
+// unrolled routine makes, with no intermediate closure: the inline body
+// when the generator inlined it, else CtxFn (with a background context)
+// in preference to Fn.
+func callBinding(b *Binding, inline bool, args []any) any {
+	if inline {
 		return b.Inline.Run(args)
 	}
 	if b.CtxFn != nil {
@@ -760,24 +593,12 @@ func (st *step) call(args []any) any {
 	return b.Fn(b.Closure, args)
 }
 
-// runBinding invokes a non-step binding (direct bypass, default handler).
-func (p *Plan) runBinding(b *Binding, args []any) any {
-	if b.Inline != nil && !p.opts.DisableInline {
-		return b.Inline.Run(args)
-	}
-	if b.CtxFn != nil {
-		return b.CtxFn(context.Background(), b.Closure, args)
-	}
-	return b.Fn(b.Closure, args)
-}
-
-// invoker returns the handler invocation closure for a step, used by the
-// asynchronous and ephemeral paths whose invocations outlive the loop
-// iteration. The context parameter carries watchdog cancellation to
+// invoker returns the handler invocation closure for a binding, used by
+// the asynchronous and ephemeral paths whose invocations outlive the
+// raise. The context parameter carries watchdog cancellation to
 // cooperative (CtxFn) handlers.
-func (p *Plan) invoker(st *step, args []any) func(context.Context) any {
-	b := st.b
-	if st.inline {
+func invoker(b *Binding, inline bool, args []any) func(context.Context) any {
+	if inline {
 		return func(context.Context) any { return b.Inline.Run(args) }
 	}
 	if b.CtxFn != nil {
@@ -799,13 +620,17 @@ func (p *Plan) Disassemble() string {
 		sb.WriteString("  direct call (dispatcher bypassed)\n")
 		return sb.String()
 	}
-	if p.flatExec != nil {
-		if p.GuardedBypass() {
-			sb.WriteString("  specialized: guarded bypass (single straight-line step)\n")
-		} else {
-			fmt.Fprintf(&sb, "  specialized: flattened executor (%d steps, %d guard leaves)\n",
-				len(p.flat), len(p.flatPreds))
+	if p.GuardedBypass() {
+		sb.WriteString("  specialized: guarded bypass (single straight-line step)\n")
+	} else {
+		leaves := len(p.flatPreds)
+		for i := range p.flat {
+			if p.flat[i].guarded() {
+				leaves++
+			}
 		}
+		fmt.Fprintf(&sb, "  specialized: flattened executor (%d units, %d guard leaves)\n",
+			len(p.flat), leaves)
 	}
 	writeStep := func(indent string, i int, st *step) {
 		fmt.Fprintf(&sb, "%sstep %d:", indent, i)
@@ -841,7 +666,12 @@ func (p *Plan) Disassemble() string {
 		}
 		fmt.Fprintf(&sb, "  switch arg%d { // decision tree over %d bindings\n",
 			u.treeArg, u.treeSize)
+		keys := make([]uint64, 0, len(u.branches))
 		for k := range u.branches {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
 			fmt.Fprintf(&sb, "  case %d:\n", k)
 			branch := u.branches[k]
 			for j := range branch {

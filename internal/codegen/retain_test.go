@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"testing"
+
+	"spin/internal/vtime"
 )
 
 // Tests for Plan.RetainsArgs, the property the dispatcher's pooled
@@ -42,35 +44,40 @@ func TestRetainsArgs(t *testing.T) {
 
 // TestExecuteSyncStepsZeroAllocs pins the direct-call structure of the
 // unrolled loop: executing inline and out-of-line synchronous steps must
-// not allocate (the old per-step invoker closure did).
+// not allocate (the old per-step invoker closure did), metered or not,
+// with fault protection compiled in or not.
 func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 	info := EventInfo{Name: "T", Arity: 1}
-	env := &Env{}
 	args := []any{uint64(1)}
+	var clock vtime.Clock
+	for _, env := range []*Env{{}, {CPU: vtime.NewCPU(&clock, vtime.AlphaModel())}} {
+		for _, protect := range []FaultHook{nil, nopFaultHook{}} {
+			metered, protected := env.CPU != nil, protect != nil
+			inline := Compile(info, []*Binding{
+				{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Inline: Nop()},
+				{Guards: []Guard{{Pred: ArgEq(0, 2)}}, Inline: Nop()},
+			}, nil, nil, Options{DisableBypass: true, Protect: protect})
+			if n := testing.AllocsPerRun(1000, func() { inline.Execute(env, args) }); n != 0 {
+				t.Errorf("metered=%v protected=%v: inline plan Execute allocates %v/op, want 0", metered, protected, n)
+			}
 
-	inline := Compile(info, []*Binding{
-		{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Inline: Nop()},
-		{Guards: []Guard{{Pred: ArgEq(0, 2)}}, Inline: Nop()},
-	}, nil, nil, Options{DisableBypass: true})
-	if n := testing.AllocsPerRun(1000, func() { inline.Execute(env, args) }); n != 0 {
-		t.Errorf("inline plan Execute allocates %v/op, want 0", n)
-	}
+			outline := Compile(info, []*Binding{
+				{Fn: func(any, []any) any { return nil }},
+				{Fn: func(any, []any) any { return nil }},
+			}, nil, nil, Options{DisableBypass: true, Protect: protect})
+			if n := testing.AllocsPerRun(1000, func() { outline.Execute(env, args) }); n != 0 {
+				t.Errorf("metered=%v protected=%v: out-of-line plan Execute allocates %v/op, want 0", metered, protected, n)
+			}
 
-	outline := Compile(info, []*Binding{
-		{Fn: func(any, []any) any { return nil }},
-		{Fn: func(any, []any) any { return nil }},
-	}, nil, nil, Options{DisableBypass: true})
-	if n := testing.AllocsPerRun(1000, func() { outline.Execute(env, args) }); n != 0 {
-		t.Errorf("out-of-line plan Execute allocates %v/op, want 0", n)
-	}
-
-	direct := Compile(info, []*Binding{
-		{Fn: func(any, []any) any { return nil }},
-	}, nil, nil, Options{})
-	if direct.Direct() == nil {
-		t.Fatal("expected single-binding bypass")
-	}
-	if n := testing.AllocsPerRun(1000, func() { direct.Execute(env, args) }); n != 0 {
-		t.Errorf("bypass Execute allocates %v/op, want 0", n)
+			direct := Compile(info, []*Binding{
+				{Fn: func(any, []any) any { return nil }},
+			}, nil, nil, Options{Protect: protect})
+			if direct.Direct() == nil {
+				t.Fatal("expected single-binding bypass")
+			}
+			if n := testing.AllocsPerRun(1000, func() { direct.Execute(env, args) }); n != 0 {
+				t.Errorf("metered=%v protected=%v: bypass Execute allocates %v/op, want 0", metered, protected, n)
+			}
+		}
 	}
 }

@@ -65,7 +65,7 @@ func treeKey(st *step) (arg int, k uint64, ok bool) {
 // buildUnits groups a compiled step list into dispatch units, collapsing
 // eligible consecutive runs into decision trees.
 func buildUnits(steps []step, enable bool) []unit {
-	var units []unit
+	units := make([]unit, 0, len(steps))
 	i := 0
 	for i < len(steps) {
 		if !enable {

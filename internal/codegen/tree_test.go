@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -191,12 +192,36 @@ func TestTreeFlattensGuardCost(t *testing.T) {
 	}
 }
 
+// TestTreeDisassembly requires the tree's cases in ascending key order and
+// the same text from every compile of the same plan: the branches live in
+// a map, whose iteration order Go randomizes.
 func TestTreeDisassembly(t *testing.T) {
 	var fired []uint64
-	p := Compile(info(1, false), portBindings(6, &fired), nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	d := p.Disassemble()
+	bs := portBindings(6, &fired)
+	d := Compile(info(1, false), bs, nil, nil,
+		Options{EnableDecisionTree: true, DisableBypass: true}).Disassemble()
 	if !strings.Contains(d, "switch arg0") || !strings.Contains(d, "decision tree over 6 bindings") {
 		t.Fatalf("disassembly missing tree:\n%s", d)
+	}
+	last := -1
+	for _, line := range strings.Split(d, "\n") {
+		var k int
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "case %d:", &k); err != nil {
+			continue
+		}
+		if k <= last {
+			t.Fatalf("case %d after case %d:\n%s", k, last, d)
+		}
+		last = k
+	}
+	if last < 0 {
+		t.Fatalf("disassembly has no cases:\n%s", d)
+	}
+	for i := 0; i < 20; i++ {
+		again := Compile(info(1, false), bs, nil, nil,
+			Options{EnableDecisionTree: true, DisableBypass: true}).Disassemble()
+		if again != d {
+			t.Fatalf("compile %d disassembles differently:\n%s\nfirst:\n%s", i, again, d)
+		}
 	}
 }

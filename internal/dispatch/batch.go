@@ -136,7 +136,7 @@ func (o BatchOutcome) Err() error {
 // RaiseBatch announces the event once per frame through the vectorized
 // ingress tier: the plan is loaded once, one stripe shard index and (for
 // traced plans) one sampling decision serve the whole batch, and the
-// specialized executors run the frame loop inside the stenciled body.
+// plan's executor runs each frame.
 // Semantics are those of a loop of Raise calls — same handlers in the same
 // order per frame, same counter totals, and plan churn between frames
 // (uninstall, quarantine, trace toggle) is honored mid-batch via the
@@ -191,9 +191,10 @@ func (e *Event) raiseBatchFrames(out *BatchOutcome, frames []ArgFrame) {
 }
 
 // raiseBatchLoop dispatches frames one at a time through the exact
-// single-raise path: the fallback for metered dispatchers (byte-identical
-// virtual-time charge sequences), purity checking (per-frame monitor
-// barriers), and mixed-arity batches (per-frame rejection).
+// single-raise path: the fallback for metered dispatchers (each frame
+// validated and bracketed with its own clock readings), purity checking
+// (per-frame monitor barriers), and mixed-arity batches (per-frame
+// rejection).
 func (e *Event) raiseBatchLoop(frames []ArgFrame) BatchOutcome {
 	var out BatchOutcome
 	for i := range frames {

@@ -24,9 +24,8 @@ import (
 // middle of a batch.
 
 // batchConfigs sweeps the code generator's optimization space: every
-// configuration selects a different executor tier (flat shape-specialized
-// batch executor, generic-shape executor, per-step interpreter, decision
-// tree, out-of-line everything).
+// configuration lowers a different plan for the one executor (inline
+// guards, decision tree, out-of-line everything).
 var batchConfigs = []struct {
 	name string
 	opts codegen.Options
@@ -34,9 +33,6 @@ var batchConfigs = []struct {
 	{"default", codegen.Options{}},
 	{"tree", codegen.Options{EnableDecisionTree: true}},
 	{"outofline", codegen.Options{DisableInline: true, DisableBypass: true, DisablePeephole: true}},
-	{"interp", codegen.Options{DisableSpecialize: true}},
-	{"genshape", codegen.Options{DisableShapeSpecialize: true}},
-	{"incremental", codegen.Options{IncrementalInstall: true}},
 }
 
 // batchSizes are the batch lengths the differential tests sweep; 1 and 2

@@ -272,15 +272,9 @@ func (e *Event) recompile(charge bool) {
 		cpu := e.d.cpu
 		cpu.Begin(vtime.AccountEvents)
 		cpu.Charge(vtime.PlanCompileBase)
-		if !e.d.cgOpts.IncrementalInstall {
-			// Full regeneration: cost linear in the bindings present,
-			// O(n^2) for n installs (§3.1 "Installation overhead").
-			cpu.ChargeN(vtime.PlanCompileBinding, len(e.bindings))
-		}
-		// Incremental installation (the paper's anticipated "more
-		// incremental (and economical) approach") appends one
-		// pre-generated stub and patches the dispatch chain, so only
-		// the base cost is paid regardless of population.
+		// Full regeneration: cost linear in the bindings present, O(n^2)
+		// for n installs (§3.1 "Installation overhead").
+		cpu.ChargeN(vtime.PlanCompileBinding, len(e.bindings))
 		cpu.End()
 	}
 	e.plan.Store(plan)
@@ -391,11 +385,11 @@ func (e *Event) newEnv() *codegen.Env {
 				b.fired.Add(1)
 			}
 		},
-		// Batched statistics for the specialized executors: per-binding
-		// counts go straight to Binding.fired (codegen.Binding.FireCount)
-		// and the event total lands here once per raise, all through one
-		// hoisted stripe index — same totals as OnFire, a fraction of the
-		// atomic RMWs and shard hashes.
+		// Batched statistics for the executors: per-binding counts go
+		// straight to Binding.fired (codegen.Binding.FireCount) and the
+		// event total lands here once per raise, all through one hoisted
+		// stripe index — same totals as OnFire, a fraction of the atomic
+		// RMWs and shard hashes. OnFire serves the traced twin.
 		FiredTotal: &e.firedTotal,
 	}
 }
@@ -428,8 +422,8 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 	}
 	// One stripe shard hash serves every striped counter this raise
 	// touches: the raised total here, the per-binding fire counts and the
-	// fired total inside the specialized executor. The increment's shard
-	// value doubles as the journal's raise-sampling draw below.
+	// fired total inside the executor. The increment's shard value doubles
+	// as the journal's raise-sampling draw below.
 	idx := stripe.Index()
 	raised := e.raised.AddAtN(idx, 1)
 	if e.d.purity {
@@ -442,21 +436,11 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 
 	var out codegen.Outcome
 	if cpu := e.d.cpu; cpu == nil {
-		// Unmetered: skip all virtual-time accounting up front instead of
-		// paying a nil check per meter call inside the plan. Specialized
-		// plans — flattened guard trees, shape-selected executor, batched
-		// statistics — hoist past the interpreter entirely; this is the
-		// bypass tier for guard-constant and single-inline-guard plans
-		// (GuardedBypass) as well as every other flat-eligible shape.
-		if fe := plan.FastExec(); fe != nil {
-			out = fe(plan, e.env, args, idx)
-		} else {
-			out = plan.Execute(e.env, args)
-		}
+		out = plan.FastExec()(plan, e.env, args, idx)
 	} else {
 		cpu.Begin(vtime.AccountEvents)
 		start := cpu.Now()
-		out = plan.Execute(e.env, args)
+		out = plan.FastExec()(plan, e.env, args, idx)
 		e.timeNanos.Add(int64(cpu.Now().Sub(start)))
 		cpu.End()
 	}

@@ -48,7 +48,7 @@ func (a Account) String() string {
 // difference of readings. A caller may therefore add up the charges it
 // makes between two observations and pay the total with one Spend, as
 // long as no code that could read the clock or switch the active account
-// runs before the total is paid. The dispatch interpreter does this for
+// runs before the total is paid. The dispatch executor does this for
 // each metered raise (DESIGN.md decision 20).
 type CPU struct {
 	clock *Clock
